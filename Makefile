@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-smoke bench-json effort-gate experiments examples obs-smoke obs-demo service-smoke log-smoke fleet-smoke fleet-ha-smoke fleet-chaos docs-lint fmt vet clean
+.PHONY: all build test test-short race cover bench bench-smoke perfbench-test bench-json effort-gate experiments examples obs-smoke obs-demo service-smoke log-smoke fleet-smoke fleet-ha-smoke fleet-chaos docs-lint fmt vet clean
 
 # Tier-1 verification: build, vet, the full test suite, the race
 # detector over the packages with real concurrency (parallel solver
@@ -15,8 +15,9 @@ GO ?= go
 # stream, the multi-node fleet (router + daemons + chaos loadgen
 # over real HTTP), the replicated-journal failover path (a member
 # SIGKILLed and never restarted, its sessions adopted elsewhere), the
-# oracle-effort regression gate, and the documentation gate.
-all: build vet test race bench-smoke obs-smoke service-smoke log-smoke fleet-smoke fleet-ha-smoke effort-gate docs-lint
+# oracle-effort regression gate, the end-to-end benchmark module's own
+# tests, and the documentation gate.
+all: build vet test race bench-smoke perfbench-test obs-smoke service-smoke log-smoke fleet-smoke fleet-ha-smoke effort-gate docs-lint
 
 build:
 	$(GO) build ./...
@@ -41,6 +42,13 @@ bench:
 # Part of tier-1 `all`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
+
+# The end-to-end benchmark (perfbench/, run by BENCHMARK.json) is a Go
+# module of its own, so `go test ./...` does not build it: a change to a
+# public API it calls would otherwise break it unnoticed. Part of
+# tier-1 `all`.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # Archive hot-path benchmark results (ns/op, B/op, allocs/op, custom
 # metrics like queries/run) as JSON for cross-commit perf tracking.

@@ -9,7 +9,8 @@ import "testing"
 const effortSeeds = 3
 
 // benchmarkQueriesToConvergence runs the pinned fast-mode Table 1
-// workload to convergence and reports oracle effort as custom metrics.
+// workload to convergence and reports oracle effort and repair work as
+// custom metrics.
 // cmd/effortgate diffs queries/run against the BENCH_solver.json
 // archive; `make bench-json` is what refreshes the archive.
 func benchmarkQueriesToConvergence(b *testing.B, disablePlanner bool) {
@@ -17,7 +18,7 @@ func benchmarkQueriesToConvergence(b *testing.B, disablePlanner bool) {
 	if testing.Short() {
 		seeds = 1 // bench-smoke compile check, not a measurement
 	}
-	var queries, iters, runs float64
+	var queries, iters, evals, runs float64
 	for i := 0; i < b.N; i++ {
 		for s := 1; s <= seeds; s++ {
 			res, err := RunOnce(RunConfig{Fast: true, Seed: int64(s), DisablePlanner: disablePlanner})
@@ -35,11 +36,15 @@ func benchmarkQueriesToConvergence(b *testing.B, disablePlanner bool) {
 			}
 			queries += float64(res.Queries)
 			iters += float64(res.Iterations)
+			evals += float64(res.Solver.RepairEvals)
 			runs++
 		}
 	}
 	b.ReportMetric(queries/runs, "queries/run")
 	b.ReportMetric(iters/runs, "iterations/run")
+	// The repair layer's deterministic work counter: wall time on a
+	// shared host is noisy, this count is not.
+	b.ReportMetric(evals/runs, "repair-evals/run")
 }
 
 // BenchmarkQueriesToConvergence measures oracle queries to convergence

@@ -51,12 +51,12 @@ func PlannerOff() bool {
 // solver search counters) as a table — the `-effort` view.
 func FormatEffort(results []RunResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-4s %6s %8s %10s %10s %10s %10s %8s %10s\n",
-		"run", "iters", "queries", "oracle s", "samples", "repairs", "boxes", "spec", "spec-hits")
+	fmt.Fprintf(&b, "%-4s %6s %8s %10s %10s %10s %12s %10s %8s %10s\n",
+		"run", "iters", "queries", "oracle s", "samples", "repairs", "repair-evals", "boxes", "spec", "spec-hits")
 	for i, r := range results {
-		fmt.Fprintf(&b, "%-4d %6d %8d %10.4f %10d %10d %10d %8d %10d\n",
+		fmt.Fprintf(&b, "%-4d %6d %8d %10.4f %10d %10d %12d %10d %8d %10d\n",
 			i+1, r.Iterations, r.Queries, r.OracleSec,
-			r.Solver.Samples, r.Solver.Repairs, r.Solver.Boxes,
+			r.Solver.Samples, r.Solver.Repairs, r.Solver.RepairEvals, r.Solver.Boxes,
 			r.Solver.SpecCompiles, r.Solver.SpecCacheHits)
 	}
 	return b.String()

@@ -127,7 +127,7 @@ func (p *Program) EvalIntervalBatch(b *IntervalBatch, n int) bool {
 			for i := 0; i < b.nHoles; i++ {
 				b.aholes[i] = interval.Interval{Lo: b.holesLo[i*b.lanes+l], Hi: b.holesHi[i*b.lanes+l]}
 			}
-			r := p.ifn(b.avars, b.aholes)
+			r := p.EvalInterval(b.avars, b.aholes)
 			b.outLo[l], b.outHi[l] = r.Lo, r.Hi
 		}
 		return false

@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"compsynth/internal/interval"
 )
@@ -11,15 +12,16 @@ import (
 // orderings. Evaluation takes positional slices instead of maps, which
 // keeps the synthesizer's inner loops allocation-free.
 type Program struct {
-	expr   Expr
-	vars   []string
-	holes  []string
-	varIdx map[string]int
-	hole   map[string]int
-	fn     compiledNum
-	ifn    compiledNumIv
-	tp     *tape
-	ft     *flatTape
+	expr    Expr
+	vars    []string
+	holes   []string
+	varIdx  map[string]int
+	hole    map[string]int
+	fn      compiledNum // point closure: only when the jump tape rejects the expression
+	ifn     compiledNumIv
+	ifnOnce sync.Once // compiles ifn on the first interval evaluation
+	tp      *tape
+	ft      *flatTape
 }
 
 type compiledNum func(vars, holes []float64) float64
@@ -50,24 +52,89 @@ func Compile(e Expr, vars, holes []string) (*Program, error) {
 		}
 		p.hole[h] = i
 	}
-	fn, err := p.compileNum(e)
-	if err != nil {
+	if err := p.check(e); err != nil {
 		return nil, err
 	}
-	ifn, err := p.compileNumIv(e)
-	if err != nil {
-		return nil, err
-	}
-	p.fn = fn
-	p.ifn = ifn
-	// Point evaluation prefers the jump-based instruction tape; interval
-	// and batched evaluation prefer the jump-free flat tape (flat.go,
-	// batch.go). The closure trees remain as fallbacks for expressions
-	// too deep for the tapes' fixed stacks. All engines are bit-identical
-	// (the differential fuzz tests in fuzz_test.go hold them to that).
+	// Point evaluation prefers the jump-based instruction tape; batched
+	// evaluation prefers the jump-free flat tape (flat.go, batch.go).
+	// The point closure tree is the fallback for expressions too deep
+	// for the jump tape, so it is built only for those. Scalar interval
+	// evaluation runs the interval closure tree (see EvalInterval),
+	// built on first use: most programs are only ever point-evaluated.
+	// All engines are bit-identical (the differential fuzz tests in
+	// fuzz_test.go hold them to that).
 	p.tp, _ = newTape(e, p.varIdx, p.hole)
 	p.ft, _ = newFlatTape(e, p.varIdx, p.hole)
+	if p.tp == nil {
+		p.fn, _ = p.compileNum(e) // cannot fail: e passed check
+	}
 	return p, nil
+}
+
+// check returns the error the closure compilers would return for e —
+// an unbound variable or hole, or an unknown node — visiting nodes in
+// their order, without building any closure.
+func (p *Program) check(e Expr) error {
+	switch n := e.(type) {
+	case Const:
+		return nil
+	case Var:
+		if _, ok := p.varIdx[n.Name]; !ok {
+			return ErrUnbound{Kind: "var", Name: n.Name}
+		}
+		return nil
+	case Hole:
+		if _, ok := p.hole[n.Name]; !ok {
+			return ErrUnbound{Kind: "hole", Name: n.Name}
+		}
+		return nil
+	case Bin:
+		if err := p.check(n.L); err != nil {
+			return err
+		}
+		if err := p.check(n.R); err != nil {
+			return err
+		}
+		switch n.Op {
+		case OpAdd, OpSub, OpMul, OpDiv, OpMin, OpMax:
+			return nil
+		}
+		return fmt.Errorf("expr: unknown binop %v", n.Op)
+	case Neg:
+		return p.check(n.X)
+	case Abs:
+		return p.check(n.X)
+	case If:
+		if err := p.checkBool(n.Cond); err != nil {
+			return err
+		}
+		if err := p.check(n.Then); err != nil {
+			return err
+		}
+		return p.check(n.Else)
+	}
+	return fmt.Errorf("expr: unknown node %T", e)
+}
+
+// checkBool is check for boolean expressions.
+func (p *Program) checkBool(b BoolExpr) error {
+	switch n := b.(type) {
+	case BoolConst:
+		return nil
+	case Cmp:
+		if err := p.check(n.L); err != nil {
+			return err
+		}
+		return p.check(n.R)
+	case BoolBin:
+		if err := p.checkBool(n.L); err != nil {
+			return err
+		}
+		return p.checkBool(n.R)
+	case Not:
+		return p.checkBool(n.X)
+	}
+	return fmt.Errorf("expr: unknown bool node %T", b)
 }
 
 // MustCompile is Compile but panics on error; for package-level sketches
@@ -111,6 +178,7 @@ func (p *Program) Eval(vars, holes []float64) float64 {
 // short-circuiting the untaken branch of a decided If dominates on
 // conditional-heavy programs. The tape serves EvalIntervalBatch.
 func (p *Program) EvalInterval(vars, holes []interval.Interval) interval.Interval {
+	p.ifnOnce.Do(func() { p.ifn, _ = p.compileNumIv(p.expr) }) // checked by Compile
 	return p.ifn(vars, holes)
 }
 

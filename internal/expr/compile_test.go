@@ -3,6 +3,7 @@ package expr
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"compsynth/internal/interval"
@@ -54,6 +55,35 @@ func TestCompileIntervalMatchesEvalInterval(t *testing.T) {
 		got := prog.EvalInterval(vb, hb)
 		if got != want {
 			t.Fatalf("compiled interval %v != interpreted %v", got, want)
+		}
+	}
+}
+
+// TestEvalIntervalConcurrentFirstUse races the lazy interval compile:
+// goroutines make a fresh program's first interval evaluations at once
+// (the parallel prune engine can), and all must see the same result.
+// Run under -race.
+func TestEvalIntervalConcurrentFirstUse(t *testing.T) {
+	body := swanBody()
+	vb := []interval.Interval{interval.New(1, 2), interval.New(10, 60)}
+	hb := []interval.Interval{interval.New(0, 10), interval.New(0, 200), interval.New(0, 10), interval.New(0, 10)}
+	want := MustCompile(body, []string{"throughput", "latency"}, []string{"tp_thrsh", "l_thrsh", "slope1", "slope2"}).EvalInterval(vb, hb)
+	for round := 0; round < 20; round++ {
+		prog := MustCompile(body, []string{"throughput", "latency"}, []string{"tp_thrsh", "l_thrsh", "slope1", "slope2"})
+		got := make([]interval.Interval, 4)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = prog.EvalInterval(vb, hb)
+			}()
+		}
+		wg.Wait()
+		for g, iv := range got {
+			if iv != want {
+				t.Fatalf("round %d goroutine %d: %v, want %v", round, g, iv, want)
+			}
 		}
 	}
 }

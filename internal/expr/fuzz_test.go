@@ -194,7 +194,11 @@ func FuzzDifferentialEval(f *testing.F) {
 
 		// Engine agreement on the original expression: closures and the
 		// tape must reproduce the tree walker bit for bit.
-		if got := prog.fn(varSlice, holeSlice); !eqBits(got, want) {
+		fn, err := prog.compileNum(e) // the fallback engine, built only for deep expressions
+		if err != nil {
+			t.Fatalf("closure compile %s: %v", e, err)
+		}
+		if got := fn(varSlice, holeSlice); !eqBits(got, want) {
 			t.Errorf("closure eval of %s = %v, tree = %v", e, got, want)
 		}
 		if prog.tp == nil {

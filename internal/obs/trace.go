@@ -66,7 +66,10 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{epoch: time.Now(), buf: make([]SpanRecord, 0, capacity), maxSpan: capacity}
+	// The ring grows on demand up to capacity: the synthesis service
+	// creates one tracer per session, and most sessions record a few
+	// hundred spans, far from the 256 KiB a full default ring takes.
+	return &Tracer{epoch: time.Now(), maxSpan: capacity}
 }
 
 // Span is an in-flight span handle. The zero Span (from a nil tracer)

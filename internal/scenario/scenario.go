@@ -177,17 +177,28 @@ func (sp *Space) Clamp(s Scenario) Scenario {
 // Random returns a uniformly random scenario inside the box.
 func (sp *Space) Random(rng *rand.Rand) Scenario {
 	s := make(Scenario, len(sp.ranges))
-	for i, r := range sp.ranges {
-		s[i] = r.Lo + rng.Float64()*r.Width()
-	}
+	sp.fillRandom(s, rng)
 	return s
 }
 
-// RandomN returns n independent random scenarios.
+// fillRandom writes a uniformly random point of the box into s.
+func (sp *Space) fillRandom(s Scenario, rng *rand.Rand) {
+	for i, r := range sp.ranges {
+		s[i] = r.Lo + rng.Float64()*r.Width()
+	}
+}
+
+// RandomN returns n independent random scenarios, drawing from rng
+// exactly like n calls to Random. The scenarios share one backing array
+// (capacity-capped, so an append to one never reaches the next): two
+// allocations instead of n+1 for the solver's per-iteration pair pools.
 func (sp *Space) RandomN(rng *rand.Rand, n int) []Scenario {
+	d := len(sp.ranges)
+	flat := make([]float64, n*d)
 	out := make([]Scenario, n)
 	for i := range out {
-		out[i] = sp.Random(rng)
+		out[i] = flat[i*d : (i+1)*d : (i+1)*d]
+		sp.fillRandom(out[i], rng)
 	}
 	return out
 }

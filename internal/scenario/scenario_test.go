@@ -95,6 +95,28 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestRandomNMatchesRandom pins RandomN to n calls of Random: the same
+// scenarios and the same rng state after. The scenarios share a backing
+// array, so an append to one must not reach its neighbor.
+func TestRandomNMatchesRandom(t *testing.T) {
+	sp := SWANSpace()
+	a, b := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
+	got := sp.RandomN(a, 5)
+	for i := range got {
+		if want := sp.Random(b); !got[i].Equal(want) {
+			t.Fatalf("RandomN[%d] = %v, Random = %v", i, got[i], want)
+		}
+	}
+	if a.Int63() != b.Int63() {
+		t.Fatal("RandomN left rng in a different state than n Random calls")
+	}
+	next := got[1][0]
+	_ = append(got[0], -1)
+	if got[1][0] != next {
+		t.Fatal("append to one scenario overwrote the next")
+	}
+}
+
 func TestGrid(t *testing.T) {
 	sp := SWANSpace()
 	g := sp.Grid(3)

@@ -27,11 +27,11 @@ type Sketch struct {
 	space   *scenario.Space
 	holes   []string
 	domains []interval.Interval
-	spec    specCache
+	spec    specCache[*specEntry]
 	// diff caches fused difference programs by ordered scenario pair
-	// (see SpecializeDiff); entries reference spec's per-scenario
-	// programs.
-	diff specCache
+	// (see SpecializeDiff); entries share spec's per-scenario partial
+	// bodies.
+	diff specCache[*expr.Program]
 }
 
 // New builds a sketch from an expression body. Every variable of the

@@ -21,10 +21,13 @@ import (
 // which is what keeps synthesis transcripts identical when the solver
 // switches to them.
 //
-// Programs are cached per scenario: preference edges reference a slowly
-// growing set of scenarios (a handful per synthesis iteration), and the
-// same scenario appears in many edges, so the cache converges to one
-// compile per distinct scenario.
+// Specializations are cached per scenario: preference edges reference
+// a slowly growing set of scenarios (a handful per synthesis
+// iteration), and the same scenario appears in many edges, so the cache
+// converges to one partial evaluation per distinct scenario. The solver
+// only ever evaluates fused pair differences (SpecializeDiff), which
+// need the partial body alone, so a scenario's own program is compiled
+// on its first Specialize call, not when the entry is made.
 
 // specCacheCap bounds the number of cached specializations. Synthesis
 // sessions touch at most a few scenarios per iteration, so the cap is
@@ -34,9 +37,9 @@ import (
 // callers such as the distinguisher's per-iteration random pools).
 const specCacheCap = 4096
 
-type specCache struct {
+type specCache[V any] struct {
 	mu sync.RWMutex
-	m  map[string]*expr.Program
+	m  map[string]V
 	// hits/misses count lookups for observability (CacheStats). They
 	// ride alongside the map operations the lookup already pays for, so
 	// the accounting is always on; a miss that loses a compile race
@@ -64,14 +67,32 @@ func appendSpecKey(dst []byte, sc scenario.Scenario) []byte {
 // in Sketch.Holes order, and its point and interval evaluation agree
 // bit-exactly with Eval/EvalInterval at that scenario.
 func (s *Sketch) Specialize(sc scenario.Scenario) (*expr.Program, bool) {
+	e, hit := s.specialized(sc)
+	// New validated every body variable against the space, so the
+	// partial body is hole-only and compilation cannot fail.
+	e.once.Do(func() { e.prog = expr.MustCompile(e.body, nil, s.holes) })
+	return e.prog, hit
+}
+
+// specEntry is one cached scenario specialization: the partial body,
+// and its program once Specialize has compiled it.
+type specEntry struct {
+	body expr.Expr
+	once sync.Once
+	prog *expr.Program
+}
+
+// specialized returns the cache entry of a scenario, partial-evaluating
+// the body on a miss, and whether it was served from the cache.
+func (s *Sketch) specialized(sc scenario.Scenario) (*specEntry, bool) {
 	var arr [64]byte
 	key := appendSpecKey(arr[:0], sc)
 	s.spec.mu.RLock()
-	prog, ok := s.spec.m[string(key)]
+	e, ok := s.spec.m[string(key)]
 	s.spec.mu.RUnlock()
 	if ok {
 		s.spec.hits.Add(1)
-		return prog, true
+		return e, true
 	}
 	s.spec.misses.Add(1)
 
@@ -79,23 +100,21 @@ func (s *Sketch) Specialize(sc scenario.Scenario) (*expr.Program, bool) {
 	for i, name := range s.space.Names() {
 		vars[name] = sc[i]
 	}
-	// New validated every body variable against the space, so the
-	// partial body is hole-only and compilation cannot fail.
-	prog = expr.MustCompile(expr.Partial(s.body, vars), nil, s.holes)
+	e = &specEntry{body: expr.Partial(s.body, vars)}
 
 	s.spec.mu.Lock()
 	if cached, ok := s.spec.m[string(key)]; ok {
-		// Lost a compile race; keep the first program so callers that
-		// already hold it stay consistent.
-		prog = cached
+		// Lost a race; keep the first entry so callers that already
+		// hold its program stay consistent.
+		e = cached
 	} else if len(s.spec.m) < specCacheCap {
 		if s.spec.m == nil {
-			s.spec.m = make(map[string]*expr.Program)
+			s.spec.m = make(map[string]*specEntry)
 		}
-		s.spec.m[string(key)] = prog
+		s.spec.m[string(key)] = e
 	}
 	s.spec.mu.Unlock()
-	return prog, false
+	return e, false
 }
 
 // SpecializedCount returns the number of cached specializations.
@@ -160,11 +179,11 @@ func (s *Sketch) SpecializeDiff(a, b scenario.Scenario) (*expr.Program, bool) {
 	}
 	s.diff.misses.Add(1)
 
-	pa, _ := s.Specialize(a)
-	pb, _ := s.Specialize(b)
-	// Both sides compiled against the hole ordering already, so the
-	// fused body cannot fail to compile.
-	body := expr.Bin{Op: expr.OpSub, L: pa.Expr(), R: pb.Expr()}
+	pa, _ := s.specialized(a)
+	pb, _ := s.specialized(b)
+	// Both partial bodies are hole-only (see Specialize), so the fused
+	// body cannot fail to compile.
+	body := expr.Bin{Op: expr.OpSub, L: pa.body, R: pb.body}
 	prog = expr.MustCompile(body, nil, s.holes)
 
 	s.diff.mu.Lock()

@@ -97,8 +97,8 @@ func (s *System) parallelWitnesses(ctx context.Context, opts Options, rng *rand.
 					stats.Repairs.Add(1)
 				}
 				fillRandomVector(scratch, domains, wrng)
-				if repaired, ok := s.repair(scratch, domains, opts.RepairSteps, wrng); ok {
-					found = append(found, repaired)
+				if s.repair(scratch, domains, opts.RepairSteps, wrng, stats) {
+					found = append(found, append([]float64(nil), scratch...))
 				}
 			}
 			results[w] = found

@@ -95,13 +95,15 @@ func (s *System) findDistinguishPool(ctx context.Context, opts Options, dopts Di
 	// rather than churning the specialization cache.
 	x1s := space.RandomN(rng, dopts.PairSamples)
 	x2s := space.RandomN(rng, dopts.PairSamples)
+	n := dopts.PairSamples
+	flat := make([]float64, len(cands)*n) // one allocation for every row
 	scores := make([][]float64, len(cands))
 	for ci, c := range cands {
 		if err := ctx.Err(); err != nil {
 			return nil, StatusUnknown, err
 		}
-		row := make([]float64, dopts.PairSamples)
-		for si := 0; si < dopts.PairSamples; si++ {
+		row := flat[ci*n : (ci+1)*n : (ci+1)*n]
+		for si := 0; si < n; si++ {
 			row[si] = s.sk.Eval(x1s[si], c) - s.sk.Eval(x2s[si], c)
 		}
 		scores[ci] = row
@@ -146,8 +148,8 @@ func (s *System) rawConsistentPool(ctx context.Context, k int, opts Options, rng
 		if stats != nil {
 			stats.Repairs.Add(1)
 		}
-		if repaired, ok := s.repair(h, domains, opts.RepairSteps, rng); ok {
-			pool = append(pool, repaired)
+		if s.repair(h, domains, opts.RepairSteps, rng, stats) {
+			pool = append(pool, h)
 		}
 	}
 	if len(pool) < k {
@@ -167,8 +169,8 @@ func (s *System) rawConsistentPool(ctx context.Context, k int, opts Options, rng
 			stats.Repairs.Add(1)
 		}
 		fillRandomVector(scratch, domains, rng)
-		if repaired, ok := s.repair(scratch, domains, opts.RepairSteps, rng); ok {
-			pool = append(pool, repaired)
+		if s.repair(scratch, domains, opts.RepairSteps, rng, stats) {
+			pool = append(pool, append([]float64(nil), scratch...))
 		}
 	}
 	if len(pool) == 0 {

@@ -18,6 +18,20 @@
 // provides fast SAT witnesses. This mirrors dReal's δ-decisions, which
 // are exactly what the paper's convergence check ("the SMT solver may
 // return unsatisfiable") requires over a bounded metric box.
+//
+// Repair is coordinate descent on the hinge loss Σ max(0, margin − d)
+// over preference differences d (plus the band excess of each tie),
+// summed in canonical constraint order: preferences, then ties. Each
+// iteration visits the coordinates in a random order and moves one by
+// ±step when that lowers the loss; the steps halve after an iteration
+// with no move. A probe is bounded (System.probe): it re-evaluates the
+// constraints violated at the current point first and rejects once
+// their running sum reaches the current loss, and only then evaluates
+// the rest, again rejecting once the canonical-order sum reaches the
+// loss. Terms are ≥ 0 and rounded addition is monotone, so a subset or
+// prefix sum in canonical order never exceeds the full sum: every
+// decision, and every accepted loss, is bit-identical to comparing the
+// full Violation.
 package solver
 
 import (
@@ -204,6 +218,12 @@ type Stats struct {
 	// BatchedEvals. A high ratio of ScalarEvals to BatchedEvals means
 	// the sketch's constraints are too deep to batch.
 	ScalarEvals atomic.Int64
+	// RepairEvals counts constraint programs evaluated by hinge-loss
+	// repair (its initial loss and every coordinate probe). It is
+	// deterministic for a fixed seed, like Samples and Repairs, and is
+	// the work counter of the repair layer: a bounded probe evaluates
+	// only the constraints its accept/reject decision needs.
+	RepairEvals atomic.Int64
 }
 
 // String renders the counters compactly.
@@ -226,6 +246,7 @@ type StatsSnapshot struct {
 	SpecCacheHits int64
 	BatchedEvals  int64
 	ScalarEvals   int64
+	RepairEvals   int64
 }
 
 // Snapshot copies the current counter values. Each counter is loaded
@@ -243,6 +264,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		SpecCacheHits: s.SpecCacheHits.Load(),
 		BatchedEvals:  s.BatchedEvals.Load(),
 		ScalarEvals:   s.ScalarEvals.Load(),
+		RepairEvals:   s.RepairEvals.Load(),
 	}
 }
 
@@ -258,6 +280,7 @@ func (s *Stats) Reset() {
 	s.SpecCacheHits.Store(0)
 	s.BatchedEvals.Store(0)
 	s.ScalarEvals.Store(0)
+	s.RepairEvals.Store(0)
 }
 
 // Sub returns the per-counter difference a − b: the effort spent
@@ -274,13 +297,14 @@ func (a StatsSnapshot) Sub(b StatsSnapshot) StatsSnapshot {
 		SpecCacheHits: a.SpecCacheHits - b.SpecCacheHits,
 		BatchedEvals:  a.BatchedEvals - b.BatchedEvals,
 		ScalarEvals:   a.ScalarEvals - b.ScalarEvals,
+		RepairEvals:   a.RepairEvals - b.RepairEvals,
 	}
 }
 
 // String renders the snapshot in the Stats.String format.
 func (s StatsSnapshot) String() string {
-	return fmt.Sprintf("samples=%d repairs=%d boxes=%d pruned=%d steals=%d hint-hits=%d spec-compiles=%d spec-hits=%d batch-evals=%d scalar-evals=%d",
-		s.Samples, s.Repairs, s.Boxes, s.BoxesPruned, s.Steals, s.HintHits, s.SpecCompiles, s.SpecCacheHits, s.BatchedEvals, s.ScalarEvals)
+	return fmt.Sprintf("samples=%d repairs=%d boxes=%d pruned=%d steals=%d hint-hits=%d spec-compiles=%d spec-hits=%d batch-evals=%d scalar-evals=%d repair-evals=%d",
+		s.Samples, s.Repairs, s.Boxes, s.BoxesPruned, s.Steals, s.HintHits, s.SpecCompiles, s.SpecCacheHits, s.BatchedEvals, s.ScalarEvals, s.RepairEvals)
 }
 
 // DefaultOptions returns the tuning used by the synthesizer.

@@ -59,6 +59,9 @@ type System struct {
 	// one per call; see getBatch). Pooled batches may have any lane
 	// width, so getBatch re-checks the width on the way out.
 	batchPool sync.Pool
+	// repairPool recycles repair scratch (see getRepair); repairs run
+	// concurrently under Workers > 1.
+	repairPool sync.Pool
 }
 
 // compiledPref is a preference edge lowered to one hole-only program
@@ -456,25 +459,49 @@ func finiteRegion(r RefutedRegion) bool {
 
 // Violation returns the hinge loss of θ against the constraints: 0 iff
 // every constraint holds with the margin. Bit-identical to the
-// Problem-based violation reference.
+// Problem-based violation reference. The sum runs in canonical
+// constraint order (preferences, then ties); repair's bounded probes
+// depend on that order.
 func (s *System) Violation(holes []float64) float64 {
 	var loss float64
 	for i := range s.cps {
-		diff := s.cps[i].diff.Eval(nil, holes)
-		if slack := s.margin - diff; slack > 0 {
-			loss += slack
-		}
+		loss += s.prefTerm(i, holes)
 	}
 	for i := range s.cts {
-		diff := s.cts[i].diff.Eval(nil, holes)
-		if diff < 0 {
-			diff = -diff
-		}
-		if over := diff - s.cts[i].band; over > 0 {
-			loss += over
-		}
+		loss += s.tieTerm(i, holes)
 	}
 	return loss
+}
+
+// hingeTerm returns constraint c's term of the hinge loss, indexing
+// constraints in canonical order: preferences, then ties. Terms are
+// ≥ 0 and never NaN, and adding a zero term leaves a sum unchanged, so
+// summing them in order reproduces Violation bit for bit.
+func (s *System) hingeTerm(c int, holes []float64) float64 {
+	if c < len(s.cps) {
+		return s.prefTerm(c, holes)
+	}
+	return s.tieTerm(c-len(s.cps), holes)
+}
+
+// prefTerm is preference i's hinge term: its shortfall below the margin.
+func (s *System) prefTerm(i int, holes []float64) float64 {
+	if slack := s.margin - s.cps[i].diff.Eval(nil, holes); slack > 0 {
+		return slack
+	}
+	return 0
+}
+
+// tieTerm is tie i's hinge term: how far |f(A) − f(B)| exceeds its band.
+func (s *System) tieTerm(i int, holes []float64) float64 {
+	diff := s.cts[i].diff.Eval(nil, holes)
+	if diff < 0 {
+		diff = -diff
+	}
+	if over := diff - s.cts[i].band; over > 0 {
+		return over
+	}
+	return 0
 }
 
 // Satisfies reports whether the hole vector satisfies every constraint
@@ -551,8 +578,8 @@ func (s *System) findCandidate(ctx context.Context, opts Options, rng *rand.Rand
 		if stats != nil {
 			stats.Repairs.Add(1)
 		}
-		if repaired, ok := s.repair(h, domains, opts.RepairSteps, rng); ok {
-			return repaired, StatusSat, nil
+		if s.repair(h, domains, opts.RepairSteps, rng, stats) {
+			return h, StatusSat, nil
 		}
 	}
 
@@ -587,8 +614,8 @@ func (s *System) findCandidate(ctx context.Context, opts Options, rng *rand.Rand
 				stats.Repairs.Add(1)
 			}
 			fillRandomVector(scratch, domains, rng)
-			if repaired, ok := s.repair(scratch, domains, opts.RepairSteps, rng); ok {
-				return repaired, StatusSat, nil
+			if s.repair(scratch, domains, opts.RepairSteps, rng, stats) {
+				return append([]float64(nil), scratch...), StatusSat, nil
 			}
 		}
 	}
@@ -618,58 +645,188 @@ func (s *System) hintSatisfies(h []float64) bool {
 	return false
 }
 
-// repair runs coordinate descent on the hinge loss; see the package
-// documentation of the algorithm in solver.go. start is not retained.
-func (s *System) repair(start []float64, domains []interval.Interval, steps int, rng *rand.Rand) ([]float64, bool) {
-	h := append([]float64(nil), start...)
-	loss := s.Violation(h)
-	if loss == 0 {
-		return h, s.Satisfies(h)
+// repair runs coordinate descent on the hinge loss from h, in place,
+// and reports whether h ended at a satisfying point; see the algorithm
+// description in solver.go. Callers that reuse h as scratch must copy
+// it out on success.
+func (s *System) repair(h []float64, domains []interval.Interval, steps int, rng *rand.Rand, stats *Stats) bool {
+	sc := s.getRepair(len(h))
+	loss := s.descend(h, domains, steps, rng, sc)
+	if stats != nil {
+		stats.RepairEvals.Add(sc.evals)
 	}
-	step := make([]float64, len(domains))
+	s.repairPool.Put(sc)
+	return loss == 0 && s.Satisfies(h)
+}
+
+// repairScratch is the working memory of one repair call. It is pooled
+// on the System (repairPool) rather than held in a field because
+// searches with Workers > 1 repair concurrently.
+type repairScratch struct {
+	// terms holds every constraint's hinge term at the current point in
+	// canonical order (preferences, then ties); next receives the terms
+	// at a probe point. live lists, ascending, the constraints whose
+	// current term is > 0.
+	terms, next []float64
+	live        []int
+	step        []float64
+	perm        []int
+	// evals counts the constraint programs this call evaluated; repair
+	// adds it to Stats.RepairEvals once, at the end.
+	evals int64
+}
+
+// getRepair returns pooled repair scratch sized for the current
+// constraint set and a dim-dimensional hole vector.
+func (s *System) getRepair(dim int) *repairScratch {
+	sc, _ := s.repairPool.Get().(*repairScratch)
+	if sc == nil {
+		sc = new(repairScratch)
+	}
+	n := len(s.cps) + len(s.cts)
+	sc.terms = resize(sc.terms, n)
+	sc.next = resize(sc.next, n)
+	sc.live = resize(sc.live, n)[:0]
+	sc.step = resize(sc.step, dim)
+	sc.perm = resize(sc.perm, dim)
+	sc.evals = 0
+	return sc
+}
+
+// resize returns buf with length n, reallocating only when its capacity
+// is short. The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// descend is repair's coordinate descent. It returns the final loss,
+// which is bit-identical to s.Violation(h): every accept/reject decision
+// is the one a full Violation(h) < loss test would make (see probe).
+func (s *System) descend(h []float64, domains []interval.Interval, steps int, rng *rand.Rand, sc *repairScratch) float64 {
+	var loss float64
+	for c := range sc.terms {
+		sc.terms[c] = s.hingeTerm(c, h)
+		loss += sc.terms[c]
+	}
+	sc.evals += int64(len(sc.terms))
+	if loss == 0 {
+		return 0
+	}
+	sc.noteLive()
 	for i, d := range domains {
-		step[i] = d.Width() / 4
+		sc.step[i] = d.Width() / 4
 	}
 	for it := 0; it < steps && loss > 0; it++ {
 		improved := false
 		// Random dimension order de-correlates descent paths between
 		// restarts.
-		for _, i := range rng.Perm(len(h)) {
-			for _, dir := range []float64{+1, -1} {
-				cand := h[i] + dir*step[i]
+		fillPerm(sc.perm, rng)
+		for _, i := range sc.perm {
+			for _, dir := range [2]float64{+1, -1} {
+				cand := h[i] + dir*sc.step[i]
 				if cand < domains[i].Lo || cand > domains[i].Hi {
 					continue
 				}
 				old := h[i]
 				h[i] = cand
-				if l := s.Violation(h); l < loss {
+				if l, ok := s.probe(h, loss, sc); ok {
 					loss = l
 					improved = true
 					break
 				}
 				h[i] = old
 			}
+			if loss == 0 {
+				break // every further probe would be rejected
+			}
 		}
-		if loss == 0 {
-			return h, s.Satisfies(h)
+		if loss == 0 || improved {
+			continue
 		}
-		if !improved {
-			for i := range step {
-				step[i] /= 2
+		allTiny := true
+		for i := range sc.step {
+			sc.step[i] /= 2
+			if sc.step[i] > domains[i].Width()*1e-12 {
+				allTiny = false
 			}
-			allTiny := true
-			for i, st := range step {
-				if st > domains[i].Width()*1e-12 {
-					allTiny = false
-					break
-				}
-			}
-			if allTiny {
-				break
-			}
+		}
+		if allTiny {
+			break
 		}
 	}
-	return h, loss == 0 && s.Satisfies(h)
+	return loss
+}
+
+// probe reports whether the hinge loss at h is below bound and, if so,
+// returns that loss and makes h's terms the current ones. It evaluates
+// only as many constraints as the decision needs:
+//
+//  1. the constraints live at the current point (term > 0), in
+//     canonical order, rejecting as soon as their running sum reaches
+//     bound;
+//  2. then every constraint in canonical order — live terms from step
+//     1, the rest evaluated on the way — rejecting as soon as the
+//     running sum reaches bound.
+//
+// The decision is exactly s.Violation(h) < bound. Every term is ≥ 0 and
+// round-to-nearest addition is monotone, so a canonical-order sum over
+// any subset of the terms (step 1) or any prefix of them (step 2) is ≤
+// the full canonical-order sum: reaching bound early proves the full
+// sum does too. An accepted loss is the full sum, formed by the same
+// additions in the same order as Violation. Summing the subset in any
+// other order (by magnitude, say) can land an ulp above the full sum
+// and break the argument.
+func (s *System) probe(h []float64, bound float64, sc *repairScratch) (float64, bool) {
+	if !(bound > 0) {
+		return 0, false // the loss is never negative
+	}
+	var sum float64
+	for _, c := range sc.live {
+		sc.next[c] = s.hingeTerm(c, h)
+		sc.evals++
+		sum += sc.next[c]
+		if sum >= bound {
+			return 0, false
+		}
+	}
+	sum = 0
+	for c, cur := range sc.terms {
+		if cur == 0 { // not live: not evaluated in step 1
+			sc.next[c] = s.hingeTerm(c, h)
+			sc.evals++
+		}
+		sum += sc.next[c]
+		if sum >= bound {
+			return 0, false
+		}
+	}
+	sc.terms, sc.next = sc.next, sc.terms
+	sc.noteLive()
+	return sum, true
+}
+
+// noteLive rebuilds the live list from the current terms.
+func (sc *repairScratch) noteLive() {
+	sc.live = sc.live[:0]
+	for c, t := range sc.terms {
+		if t > 0 {
+			sc.live = append(sc.live, c)
+		}
+	}
+}
+
+// fillPerm writes a pseudo-random permutation of 0..len(p)-1 into p,
+// making the same rng calls as rng.Perm(len(p)) and producing the same
+// permutation.
+func fillPerm(p []int, rng *rand.Rand) {
+	for i := range p {
+		j := rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
 }
 
 // cornerWitness point-checks the corners of a box (up to 2^8 of them)
@@ -707,6 +864,7 @@ func (s *System) BestEffort(opts Options, rng *rand.Rand) (holes []float64, loss
 
 func (s *System) bestEffort(ctx context.Context, opts Options, rng *rand.Rand) (holes []float64, loss float64, satisfied []bool, err error) {
 	domains := s.sk.Domains()
+	stats := s.statsOf(opts)
 	best := randomVector(domains, rng)
 	bestLoss := s.Violation(best)
 	consider := func(h []float64) {
@@ -734,8 +892,8 @@ func (s *System) bestEffort(ctx context.Context, opts Options, rng *rand.Rand) (
 		if r == 0 && len(opts.Hints) > 0 {
 			start = clampToBox(opts.Hints[0], domains)
 		}
-		repaired, _ := s.repair(start, domains, opts.RepairSteps, rng)
-		consider(repaired)
+		s.repair(start, domains, opts.RepairSteps, rng, stats)
+		consider(start)
 	}
 	return best, bestLoss, s.SatisfiedMask(best, nil), nil
 }
@@ -785,8 +943,8 @@ func (s *System) findDiverse(ctx context.Context, k int, opts Options, rng *rand
 		if stats != nil {
 			stats.Repairs.Add(1)
 		}
-		if repaired, ok := s.repair(h, domains, opts.RepairSteps, rng); ok {
-			pool = append(pool, repaired)
+		if s.repair(h, domains, opts.RepairSteps, rng, stats) {
+			pool = append(pool, h)
 		}
 	}
 
@@ -818,8 +976,8 @@ func (s *System) findDiverse(ctx context.Context, k int, opts Options, rng *rand
 				stats.Repairs.Add(1)
 			}
 			fillRandomVector(scratch, domains, rng)
-			if repaired, ok := s.repair(scratch, domains, opts.RepairSteps, rng); ok {
-				pool = append(pool, repaired)
+			if s.repair(scratch, domains, opts.RepairSteps, rng, stats) {
+				pool = append(pool, append([]float64(nil), scratch...))
 			}
 		}
 	}
